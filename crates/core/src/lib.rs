@@ -31,8 +31,8 @@ pub mod placement;
 pub mod repository;
 
 pub use node::{
-    graph_cookie, rule_cookie, DeployError, DeployReport, Name, NodeDescription, NodeIo, PortId,
-    UniversalNode,
+    graph_cookie, record_drop, rule_cookie, DeployError, DeployReport, Name, NodeDescription,
+    NodeIo, PortId, UniversalNode,
 };
 pub use placement::{decide, Decision};
 pub use repository::{NfTemplate, VnfRepository};

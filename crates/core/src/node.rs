@@ -25,7 +25,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use un_compute::{ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, NodeEnv};
+use un_compute::{
+    ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, IoOutcome, NodeEnv,
+};
 use un_linux::Host;
 use un_nffg::{validate, EndpointKind, NfFg, PortRef, RuleAction, TrafficMatch};
 use un_nnf::GraphBinding;
@@ -210,23 +212,68 @@ enum LocKey {
     Graph(u32, u32), // (graph slot, graph-LSI port)
 }
 
+/// One [`UniversalNode::inject_batch_flight`] call in flight.
+struct Walk {
+    /// Bursts waiting at each fabric location, drained in key order.
+    pending: BTreeMap<LocKey, Vec<(Packet, u32)>>,
+    io: NodeIo,
+    /// Conservation ledger terms: every step consumes one frame and
+    /// produces k — `fanout_extra` sums (k-1) for k >= 1, `absorbed`
+    /// counts k == 0 steps (table miss, NF consumed it).
+    absorbed: u64,
+    fanout_extra: u64,
+    /// Classification steps left for the whole batch (`batch × TTL`).
+    budget: u64,
+}
+
+impl Walk {
+    fn enqueue(&mut self, loc: LocKey, pkt: Packet, ttl: u32) {
+        self.pending.entry(loc).or_default().push((pkt, ttl));
+    }
+
+    fn produced(&mut self, k: usize) {
+        match k {
+            0 => self.absorbed += 1,
+            k => self.fanout_extra += (k - 1) as u64,
+        }
+    }
+}
+
+/// Where an LSI port leads — the same vocabulary for LSI-0 and graph
+/// LSIs, so one fabric step serves both.
+#[derive(Debug, Clone)]
+enum FabricPort {
+    /// A physical port (LSI-0 only): the frame leaves the node.
+    Physical(Name),
+    /// A virtual link to the fabric location on its far side.
+    Vlink(LocKey),
+    /// An NF instance port; the outputs come back per `ret`.
+    Nf {
+        inst: InstanceId,
+        port: u32,
+        ret: NfReturn,
+    },
+}
+
+/// A classified frame on its way out of an LSI: where the output port
+/// leads (`None`: unmapped), the frame, and its fabric TTL.
+type Routed = (Option<FabricPort>, Packet, u32);
+
+/// Where an NF's outputs re-enter the fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NfReturn {
+    /// A shared NF behind LSI-0: every output returns on its LSI-0
+    /// attach port.
+    L0(u32),
+    /// A graph's NF: each output port maps back through that graph's
+    /// `rev_nf` (graph slot).
+    Graph(u32),
+}
+
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum VlinkKey {
     Endpoint(String),
     SharedNf(String),
-}
-
-#[derive(Debug, Clone)]
-enum L0Port {
-    Physical(Name),
-    Vlink { graph_slot: u32, peer: PortNo },
-    SharedAttach(InstanceId),
-}
-
-#[derive(Debug, Clone)]
-enum GPort {
-    Vlink { l0_port: PortNo },
-    Nf(InstanceId, u32),
 }
 
 #[derive(Debug, Clone)]
@@ -242,7 +289,7 @@ struct DeployedGraph {
     nffg: NfFg,
     lsi: LogicalSwitch,
     slot: u32,
-    ports: BTreeMap<PortNo, GPort>,
+    ports: BTreeMap<PortNo, FabricPort>,
     vlinks: BTreeMap<VlinkKey, PortNo>, // graph-side port
     rev_nf: BTreeMap<(InstanceId, u32), PortNo>,
     nfs: BTreeMap<String, PlacedNf>,
@@ -360,7 +407,7 @@ pub struct UniversalNode {
     /// The VNF repository.
     pub repository: VnfRepository,
     lsi0: LogicalSwitch,
-    l0_ports: BTreeMap<PortNo, L0Port>,
+    l0_ports: BTreeMap<PortNo, FabricPort>,
     physical: BTreeMap<String, PortNo>,
     next_l0_port: u32,
     graphs: BTreeMap<String, DeployedGraph>,
@@ -405,6 +452,36 @@ pub fn rule_cookie(graph_id: &str, rule_id: &str) -> u64 {
 /// classification, internal groups, shared-NNF vlinks).
 pub fn graph_cookie(graph_id: &str) -> u64 {
     fnv1a(graph_id)
+}
+
+/// Count `n` frames dropped at `node` for `reason` — unless the walk
+/// is a ghost — and, with a flight-recorder sink attached, append `n`
+/// drop hops carrying `detail` (formatted only then). Every data-path
+/// drop, in the node fabric and in the domain shuttle, goes through
+/// here, so counter names come only from [`DropReason::as_str`].
+pub fn record_drop(
+    counters: &mut TraceLog,
+    flight: Option<&TraceSink>,
+    node: &str,
+    reason: DropReason,
+    n: u64,
+    detail: fmt::Arguments<'_>,
+) {
+    if !flight.is_some_and(TraceSink::ghost) {
+        counters.count(reason.as_str(), n);
+    }
+    if let Some(f) = flight {
+        let detail = detail.to_string();
+        for _ in 0..n {
+            f.hop(
+                node,
+                HopKind::Drop {
+                    reason,
+                    detail: detail.clone(),
+                },
+            );
+        }
+    }
 }
 
 /// Translate an LSI pipeline's recorded steps into classify hops on an
@@ -520,7 +597,7 @@ impl UniversalNode {
             .add_port(port, name)
             .expect("fresh port number cannot collide");
         self.l0_ports
-            .insert(port, L0Port::Physical(Name::new(name)));
+            .insert(port, FabricPort::Physical(Name::new(name)));
         self.physical.insert(name.to_string(), port);
         port
     }
@@ -902,7 +979,14 @@ impl UniversalNode {
                         .add_port(attach, &format!("nnf-{}", nf.functional_type))
                         .expect("fresh port");
                     created_l0_ports.push(attach);
-                    self.l0_ports.insert(attach, L0Port::SharedAttach(id));
+                    self.l0_ports.insert(
+                        attach,
+                        FabricPort::Nf {
+                            inst: id,
+                            port: 0,
+                            ret: NfReturn::L0(attach.0),
+                        },
+                    );
                     self.shared.insert(
                         nf.functional_type.clone(),
                         SharedInfo {
@@ -985,7 +1069,14 @@ impl UniversalNode {
                     .lsi
                     .add_port(p, &format!("to-{}:{}", nf.id, port.id))
                     .expect("fresh port");
-                graph.ports.insert(p, GPort::Nf(placed.instance, port.id));
+                graph.ports.insert(
+                    p,
+                    FabricPort::Nf {
+                        inst: placed.instance,
+                        port: port.id,
+                        ret: NfReturn::Graph(graph.slot),
+                    },
+                );
                 graph.rev_nf.insert((placed.instance, port.id), p);
             }
         }
@@ -1005,12 +1096,11 @@ impl UniversalNode {
                 .expect("fresh port");
             self.l0_ports.insert(
                 l0_port,
-                L0Port::Vlink {
-                    graph_slot: graph.slot,
-                    peer: g_port,
-                },
+                FabricPort::Vlink(LocKey::Graph(graph.slot, g_port.0)),
             );
-            graph.ports.insert(g_port, GPort::Vlink { l0_port });
+            graph
+                .ports
+                .insert(g_port, FabricPort::Vlink(LocKey::L0(l0_port.0)));
             graph
                 .vlinks
                 .insert(VlinkKey::Endpoint(ep.id.clone()), g_port);
@@ -1131,12 +1221,11 @@ impl UniversalNode {
                 .expect("fresh port");
             self.l0_ports.insert(
                 l0_port,
-                L0Port::Vlink {
-                    graph_slot: graph.slot,
-                    peer: g_port,
-                },
+                FabricPort::Vlink(LocKey::Graph(graph.slot, g_port.0)),
             );
-            graph.ports.insert(g_port, GPort::Vlink { l0_port });
+            graph
+                .ports
+                .insert(g_port, FabricPort::Vlink(LocKey::L0(l0_port.0)));
             graph
                 .vlinks
                 .insert(VlinkKey::SharedNf(nf.id.clone()), g_port);
@@ -1212,7 +1301,7 @@ impl UniversalNode {
             .l0_ports
             .iter()
             .filter(
-                |(_, k)| matches!(k, L0Port::Vlink { graph_slot, .. } if *graph_slot == graph.slot),
+                |(_, k)| matches!(k, FabricPort::Vlink(LocKey::Graph(slot, _)) if *slot == graph.slot),
             )
             .map(|(p, _)| *p)
             .collect();
@@ -1354,7 +1443,14 @@ impl UniversalNode {
         match self.port_id(port_name) {
             Some(id) => self.inject_batch(vec![(id, pkt)]),
             None => {
-                self.trace.count("inject_unknown_port", 1);
+                record_drop(
+                    &mut self.trace,
+                    None,
+                    &self.name,
+                    DropReason::InjectUnknownPort,
+                    1,
+                    format_args!("no port '{port_name}'"),
+                );
                 NodeIo::default()
             }
         }
@@ -1392,326 +1488,225 @@ impl UniversalNode {
         batch: Vec<(PortId, Packet)>,
         flight: Option<&TraceSink>,
     ) -> NodeIo {
-        let ghost = flight.is_some_and(|f| f.ghost());
-        let popts = ProcessOptions {
-            ghost,
-            record: flight.is_some(),
-        };
-        let mut io = NodeIo::default();
+        let ghost = flight.is_some_and(TraceSink::ghost);
         if !ghost {
             self.trace.count("fabric_frames_in", batch.len() as u64);
             if let Some(h) = &self.obs_burst_hist {
                 h.record(batch.len() as u64);
             }
         }
-        let obs_on = self.obs.is_some();
-        // Conservation ledger terms, accumulated in locals so the fabric
-        // loop pays plain integer adds: every processing step consumes one
-        // frame and produces k — `fanout_extra` sums (k-1) for k >= 1,
-        // `absorbed` counts k == 0 steps (table miss, NF consumed it).
-        let mut absorbed: u64 = 0;
-        let mut fanout_extra: u64 = 0;
-        let mut unmapped_nf: u64 = 0;
-        let mut dead_slot: u64 = 0;
-        let mut work_budget: u64 = (batch.len() as u64).saturating_mul(u64::from(FABRIC_TTL));
-        let mut pending: BTreeMap<LocKey, Vec<(Packet, u32)>> = BTreeMap::new();
+        let mut walk = Walk {
+            pending: BTreeMap::new(),
+            io: NodeIo::default(),
+            absorbed: 0,
+            fanout_extra: 0,
+            budget: (batch.len() as u64).saturating_mul(u64::from(FABRIC_TTL)),
+        };
         for (PortId(port), pkt) in batch {
-            pending
-                .entry(LocKey::L0(port.0))
-                .or_default()
-                .push((pkt, FABRIC_TTL));
+            walk.enqueue(LocKey::L0(port.0), pkt, FABRIC_TTL);
         }
-        while let Some((&loc, _)) = pending.iter().next() {
-            let burst = pending.remove(&loc).expect("key just observed");
-            match loc {
-                LocKey::L0(p) => {
-                    // Stage 1: classify the whole burst through LSI-0
-                    // under one borrow, preserving (frame, output) order.
-                    let mut routed: Vec<(PortNo, Packet, u32)> = Vec::new();
-                    for (pkt, ttl) in burst {
-                        if ttl == 0 {
-                            self.drop_hop(flight, ghost, DropReason::FabricLoop);
-                            continue;
-                        }
-                        if work_budget == 0 {
-                            self.drop_hop(flight, ghost, DropReason::FabricWorkExhausted);
-                            continue;
-                        }
-                        work_budget -= 1;
-                        let res = self.lsi0.process_opts(PortNo(p), pkt, &self.costs, popts);
-                        if let Some(f) = flight {
-                            record_classify_hops(f, &self.name, &self.lsi0.name, &res.steps);
-                        }
-                        io.cost += res.cost;
-                        match res.outputs.len() {
-                            0 => absorbed += 1,
-                            k => fanout_extra += (k - 1) as u64,
-                        }
-                        for (out, out_pkt) in res.outputs {
-                            routed.push((out, out_pkt, ttl));
-                        }
-                    }
-                    // Stage 2: dispatch in the same order; consecutive
-                    // frames bound for the same shared-NF attach port
-                    // cross the boundary as one `deliver_batch` burst.
-                    let mut it = routed.into_iter().peekable();
-                    while let Some((out, out_pkt, ttl)) = it.next() {
-                        match self.l0_ports.get(&out) {
-                            Some(L0Port::Physical(name)) => {
-                                if let Some(f) = flight {
-                                    f.hop(
-                                        &self.name,
-                                        HopKind::Egress {
-                                            port: name.as_str().to_string(),
-                                        },
-                                    );
-                                }
-                                io.emitted.push((name.clone(), out_pkt));
-                            }
-                            Some(L0Port::Vlink { graph_slot, peer }) => {
-                                io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
-                                pending
-                                    .entry(LocKey::Graph(*graph_slot, peer.0))
-                                    .or_default()
-                                    .push((out_pkt, ttl - 1));
-                            }
-                            Some(L0Port::SharedAttach(inst)) => {
-                                let inst = *inst;
-                                let mut frames: Vec<(u32, Packet)> = vec![(0, out_pkt)];
-                                let mut ttls: Vec<u32> = vec![ttl];
-                                while matches!(it.peek(), Some((next, _, _)) if *next == out) {
-                                    let (_, p2, t2) = it.next().expect("just peeked");
-                                    frames.push((0, p2));
-                                    ttls.push(t2);
-                                }
-                                let n = frames.len() as u64;
-                                let mut env = NodeEnv {
-                                    host: &mut self.host,
-                                    ledger: &mut self.ledger,
-                                    costs: &self.costs,
-                                };
-                                let t0 = (obs_on || flight.is_some()).then(Instant::now);
-                                let outs = self.compute.deliver_batch(&mut env, inst, frames);
-                                if let Some(t0) = t0 {
-                                    let per = t0.elapsed().as_nanos() as u64 / n;
-                                    if obs_on && !ghost {
-                                        for _ in 0..n {
-                                            self.record_nf_latency(inst, per);
-                                        }
-                                    }
-                                    if let Some(f) = flight {
-                                        for _ in 0..n {
-                                            self.nf_hop(f, inst, per);
-                                        }
-                                    }
-                                }
-                                for (out_io, ttl) in outs.into_iter().zip(ttls) {
-                                    io.cost += out_io.cost;
-                                    match out_io.outputs.len() {
-                                        0 => absorbed += 1,
-                                        k => fanout_extra += (k - 1) as u64,
-                                    }
-                                    for (_p, p2) in out_io.outputs {
-                                        pending
-                                            .entry(LocKey::L0(out.0))
-                                            .or_default()
-                                            .push((p2, ttl - 1));
-                                    }
-                                }
-                            }
-                            None => {
-                                self.drop_hop(flight, ghost, DropReason::L0UnmappedPort);
-                            }
-                        }
-                    }
-                }
-                LocKey::Graph(slot, p) => {
-                    let Some(gid) = self.slots.get(slot as usize).and_then(|s| s.clone()) else {
-                        dead_slot += burst.len() as u64;
-                        if let Some(f) = flight {
-                            for _ in 0..burst.len() {
-                                f.hop(
-                                    &self.name,
-                                    HopKind::Drop {
-                                        reason: DropReason::FabricDeadSlot,
-                                        detail: format!("graph slot {slot} is gone"),
-                                    },
-                                );
-                            }
-                        }
-                        continue;
-                    };
-                    // Run the whole burst through the graph LSI under a
-                    // single borrow, then deliver to instances.
-                    let mut mapped: Vec<(Option<GPort>, Packet, u32)> = Vec::new();
-                    {
-                        let graph = self.graphs.get_mut(&gid).expect("slot consistent");
-                        for (pkt, ttl) in burst {
-                            if ttl == 0 {
-                                if !ghost {
-                                    self.trace.count(DropReason::FabricLoop.as_str(), 1);
-                                }
-                                if let Some(f) = flight {
-                                    f.hop(
-                                        &self.name,
-                                        HopKind::Drop {
-                                            reason: DropReason::FabricLoop,
-                                            detail: String::new(),
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                            if work_budget == 0 {
-                                if !ghost {
-                                    self.trace
-                                        .count(DropReason::FabricWorkExhausted.as_str(), 1);
-                                }
-                                if let Some(f) = flight {
-                                    f.hop(
-                                        &self.name,
-                                        HopKind::Drop {
-                                            reason: DropReason::FabricWorkExhausted,
-                                            detail: String::new(),
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                            work_budget -= 1;
-                            let res = graph.lsi.process_opts(PortNo(p), pkt, &self.costs, popts);
-                            if let Some(f) = flight {
-                                record_classify_hops(f, &self.name, &graph.lsi.name, &res.steps);
-                            }
-                            io.cost += res.cost;
-                            match res.outputs.len() {
-                                0 => absorbed += 1,
-                                k => fanout_extra += (k - 1) as u64,
-                            }
-                            for (out, out_pkt) in res.outputs {
-                                mapped.push((graph.ports.get(&out).cloned(), out_pkt, ttl));
-                            }
-                        }
-                    }
-                    // Dispatch in order; consecutive frames bound for
-                    // the same NF instance (any of its ports) cross the
-                    // boundary as one `deliver_batch` burst.
-                    let mut it = mapped.into_iter().peekable();
-                    while let Some((kind, out_pkt, ttl)) = it.next() {
-                        match kind {
-                            Some(GPort::Vlink { l0_port }) => {
-                                io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
-                                pending
-                                    .entry(LocKey::L0(l0_port.0))
-                                    .or_default()
-                                    .push((out_pkt, ttl - 1));
-                            }
-                            Some(GPort::Nf(inst, nf_port)) => {
-                                let mut frames: Vec<(u32, Packet)> = vec![(nf_port, out_pkt)];
-                                let mut ttls: Vec<u32> = vec![ttl];
-                                while matches!(
-                                    it.peek(),
-                                    Some((Some(GPort::Nf(ni, _)), _, _)) if *ni == inst
-                                ) {
-                                    let Some((Some(GPort::Nf(_, np)), p2, t2)) = it.next() else {
-                                        unreachable!("just peeked an NF frame");
-                                    };
-                                    frames.push((np, p2));
-                                    ttls.push(t2);
-                                }
-                                let n = frames.len() as u64;
-                                let mut env = NodeEnv {
-                                    host: &mut self.host,
-                                    ledger: &mut self.ledger,
-                                    costs: &self.costs,
-                                };
-                                let t0 = (obs_on || flight.is_some()).then(Instant::now);
-                                let outs = self.compute.deliver_batch(&mut env, inst, frames);
-                                if let Some(t0) = t0 {
-                                    let per = t0.elapsed().as_nanos() as u64 / n;
-                                    if obs_on && !ghost {
-                                        for _ in 0..n {
-                                            self.record_nf_latency(inst, per);
-                                        }
-                                    }
-                                    if let Some(f) = flight {
-                                        for _ in 0..n {
-                                            self.nf_hop(f, inst, per);
-                                        }
-                                    }
-                                }
-                                let graph = self.graphs.get(&gid).expect("still there");
-                                for (out_io, ttl) in outs.into_iter().zip(ttls) {
-                                    io.cost += out_io.cost;
-                                    match out_io.outputs.len() {
-                                        0 => absorbed += 1,
-                                        k => fanout_extra += (k - 1) as u64,
-                                    }
-                                    for (p2, pkt2) in out_io.outputs {
-                                        if let Some(&gp) = graph.rev_nf.get(&(inst, p2)) {
-                                            pending
-                                                .entry(LocKey::Graph(slot, gp.0))
-                                                .or_default()
-                                                .push((pkt2, ttl - 1));
-                                        } else {
-                                            unmapped_nf += 1;
-                                            if let Some(f) = flight {
-                                                f.hop(
-                                                    &self.name,
-                                                    HopKind::Drop {
-                                                        reason: DropReason::GraphUnmappedNfPort,
-                                                        detail: format!("nf port {p2}"),
-                                                    },
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                self.drop_hop(flight, ghost, DropReason::GraphUnmappedPort);
-                            }
-                        }
-                    }
-                }
-            }
+        while let Some((loc, burst)) = walk.pending.pop_first() {
+            self.step(&mut walk, loc, burst, flight);
         }
+        let io = walk.io;
         if !ghost {
             self.trace
                 .count("fabric_frames_out", io.emitted.len() as u64);
-            if absorbed > 0 {
-                self.trace.count("fabric_absorbed", absorbed);
+            if walk.absorbed > 0 {
+                self.trace.count("fabric_absorbed", walk.absorbed);
             }
-            if fanout_extra > 0 {
-                self.trace.count("fabric_fanout_extra", fanout_extra);
-            }
-            if unmapped_nf > 0 {
-                self.trace
-                    .count(DropReason::GraphUnmappedNfPort.as_str(), unmapped_nf);
-            }
-            if dead_slot > 0 {
-                self.trace
-                    .count(DropReason::FabricDeadSlot.as_str(), dead_slot);
+            if walk.fanout_extra > 0 {
+                self.trace.count("fabric_fanout_extra", walk.fanout_extra);
             }
         }
         io
     }
 
-    /// Count one typed fabric drop and (when tracing) append the drop
-    /// hop; ghost walks record the hop but freeze the counter.
-    fn drop_hop(&mut self, flight: Option<&TraceSink>, ghost: bool, reason: DropReason) {
-        if !ghost {
-            self.trace.count(reason.as_str(), 1);
-        }
-        if let Some(f) = flight {
-            f.hop(
-                &self.name,
-                HopKind::Drop {
+    /// One fabric step, the same for LSI-0 and graph LSIs: classify the
+    /// burst waiting at `loc`, then dispatch the outputs in order — to
+    /// egress, over a virtual link, or to an NF. Consecutive frames for
+    /// the same NF (and the same return path) cross the boundary as one
+    /// `deliver_batch` burst.
+    fn step(
+        &mut self,
+        walk: &mut Walk,
+        loc: LocKey,
+        burst: Vec<(Packet, u32)>,
+        flight: Option<&TraceSink>,
+    ) {
+        let popts = ProcessOptions {
+            ghost: flight.is_some_and(TraceSink::ghost),
+            record: flight.is_some(),
+        };
+        // Resolve the location's LSI and where its output ports lead.
+        let (in_port, lsi, ports) = match loc {
+            LocKey::L0(p) => (p, &mut self.lsi0, &self.l0_ports),
+            LocKey::Graph(slot, p) => {
+                let Some(gid) = self.slots.get(slot as usize).and_then(Option::as_ref) else {
+                    record_drop(
+                        &mut self.trace,
+                        flight,
+                        &self.name,
+                        DropReason::FabricDeadSlot,
+                        burst.len() as u64,
+                        format_args!("graph slot {slot} is gone"),
+                    );
+                    return;
+                };
+                let graph = self.graphs.get_mut(gid).expect("slot consistent");
+                (p, &mut graph.lsi, &graph.ports)
+            }
+        };
+        // Stage 1: every frame pays one TTL hop and one unit of the
+        // batch's work budget, then is classified.
+        let mut routed: Vec<Routed> = Vec::new();
+        for (pkt, ttl) in burst {
+            if ttl == 0 || walk.budget == 0 {
+                let reason = if ttl == 0 {
+                    DropReason::FabricLoop
+                } else {
+                    DropReason::FabricWorkExhausted
+                };
+                record_drop(
+                    &mut self.trace,
+                    flight,
+                    &self.name,
                     reason,
-                    detail: String::new(),
-                },
-            );
+                    1,
+                    format_args!(""),
+                );
+                continue;
+            }
+            walk.budget -= 1;
+            let res = lsi.process_opts(PortNo(in_port), pkt, &self.costs, popts);
+            if let Some(f) = flight {
+                record_classify_hops(f, &self.name, &lsi.name, &res.steps);
+            }
+            walk.io.cost += res.cost;
+            walk.produced(res.outputs.len());
+            for (out, out_pkt) in res.outputs {
+                routed.push((ports.get(&out).cloned(), out_pkt, ttl));
+            }
         }
+        // Stage 2: dispatch in the same (frame, output) order.
+        let mut it = routed.into_iter().peekable();
+        while let Some((target, pkt, ttl)) = it.next() {
+            match target {
+                Some(FabricPort::Physical(name)) => {
+                    if let Some(f) = flight {
+                        f.hop(
+                            &self.name,
+                            HopKind::Egress {
+                                port: name.to_string(),
+                            },
+                        );
+                    }
+                    walk.io.emitted.push((name, pkt));
+                }
+                Some(FabricPort::Vlink(next)) => {
+                    walk.io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
+                    walk.enqueue(next, pkt, ttl - 1);
+                }
+                Some(FabricPort::Nf { inst, port, ret }) => {
+                    let mut frames = vec![(port, pkt)];
+                    let mut ttls = vec![ttl];
+                    let same_nf = |(t, ..): &Routed| match t {
+                        Some(FabricPort::Nf {
+                            inst: i, ret: r, ..
+                        }) => *i == inst && *r == ret,
+                        _ => false,
+                    };
+                    while let Some((Some(FabricPort::Nf { port, .. }), pkt, ttl)) =
+                        it.next_if(same_nf)
+                    {
+                        frames.push((port, pkt));
+                        ttls.push(ttl);
+                    }
+                    let outs = self.deliver_nf(inst, frames, flight);
+                    // Where the NF's outputs re-enter the fabric.
+                    let rev_nf = match ret {
+                        NfReturn::L0(_) => None,
+                        NfReturn::Graph(slot) => self.slots[slot as usize]
+                            .as_ref()
+                            .and_then(|gid| self.graphs.get(gid))
+                            .map(|g| &g.rev_nf),
+                    };
+                    for (out_io, ttl) in outs.into_iter().zip(ttls) {
+                        walk.io.cost += out_io.cost;
+                        walk.produced(out_io.outputs.len());
+                        for (nf_port, pkt) in out_io.outputs {
+                            let next = match ret {
+                                NfReturn::L0(attach) => Some(LocKey::L0(attach)),
+                                NfReturn::Graph(slot) => rev_nf
+                                    .expect("still there")
+                                    .get(&(inst, nf_port))
+                                    .map(|gp| LocKey::Graph(slot, gp.0)),
+                            };
+                            match next {
+                                Some(next) => walk.enqueue(next, pkt, ttl - 1),
+                                None => record_drop(
+                                    &mut self.trace,
+                                    flight,
+                                    &self.name,
+                                    DropReason::GraphUnmappedNfPort,
+                                    1,
+                                    format_args!("nf port {nf_port}"),
+                                ),
+                            }
+                        }
+                    }
+                }
+                None => {
+                    let reason = match loc {
+                        LocKey::L0(_) => DropReason::L0UnmappedPort,
+                        LocKey::Graph(..) => DropReason::GraphUnmappedPort,
+                    };
+                    record_drop(
+                        &mut self.trace,
+                        flight,
+                        &self.name,
+                        reason,
+                        1,
+                        format_args!(""),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Deliver one burst to an NF instance, timing it when observability
+    /// or a sink is on: the per-frame share goes to the instance's
+    /// latency histogram (not on ghost walks) and into one NF hop per
+    /// frame.
+    fn deliver_nf(
+        &mut self,
+        inst: InstanceId,
+        frames: Vec<(u32, Packet)>,
+        flight: Option<&TraceSink>,
+    ) -> Vec<IoOutcome> {
+        let n = frames.len() as u64;
+        let obs_on = self.obs.is_some();
+        let mut env = NodeEnv {
+            host: &mut self.host,
+            ledger: &mut self.ledger,
+            costs: &self.costs,
+        };
+        let t0 = (obs_on || flight.is_some()).then(Instant::now);
+        let outs = self.compute.deliver_batch(&mut env, inst, frames);
+        if let Some(t0) = t0 {
+            let per = t0.elapsed().as_nanos() as u64 / n;
+            if obs_on && !flight.is_some_and(TraceSink::ghost) {
+                for _ in 0..n {
+                    self.record_nf_latency(inst, per);
+                }
+            }
+            if let Some(f) = flight {
+                for _ in 0..n {
+                    self.nf_hop(f, inst, per);
+                }
+            }
+        }
+        outs
     }
 
     /// Append one NF-delivery hop (instance, functional type, driver
@@ -1804,12 +1799,13 @@ impl UniversalNode {
         ));
         for (pno, kind) in &self.l0_ports {
             let desc = match kind {
-                L0Port::Physical(n) => format!("physical '{n}'"),
-                L0Port::Vlink { graph_slot, .. } => {
-                    let g = self.slots[*graph_slot as usize].clone().unwrap_or_default();
+                FabricPort::Physical(n) => format!("physical '{n}'"),
+                FabricPort::Vlink(LocKey::Graph(slot, _)) => {
+                    let g = self.slots[*slot as usize].clone().unwrap_or_default();
                     format!("virtual link → LSI-{g}")
                 }
-                L0Port::SharedAttach(i) => format!("shared NNF attach ({i})"),
+                FabricPort::Vlink(LocKey::L0(_)) => "virtual link → LSI-0".to_string(),
+                FabricPort::Nf { inst, .. } => format!("shared NNF attach ({inst})"),
             };
             out.push_str(&format!("   │  │   {pno}: {desc}\n"));
         }

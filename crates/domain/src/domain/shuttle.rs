@@ -11,11 +11,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use un_core::{Name, PortId};
+use un_core::{record_drop, Name, PortId};
 use un_ipsec::esp;
 use un_obs::{DropReason, HopKind, TraceSink};
 use un_packet::Packet;
-use un_sim::Cost;
+use un_sim::{Cost, TraceLog};
 
 use super::{Domain, DomainIo, LinkState, ManagedNode, NodeHealth};
 use crate::runtime::ShardRuntime;
@@ -35,13 +35,6 @@ struct NodeCell {
     home: usize,
     /// The node currently sits in a ready ring (dedup flag).
     enqueued: bool,
-}
-
-/// Why a node has no claimable cell.
-#[derive(Clone, Copy)]
-enum CellMiss {
-    Unknown,
-    Dead,
 }
 
 /// Stable node→shard assignment (deterministic across calls).
@@ -66,11 +59,13 @@ impl Pool {
     /// The cell for `node`, claiming it out of the fleet map on
     /// first touch. Suspect nodes keep forwarding: they are
     /// slow, not dead.
-    fn cell(&mut self, node: &str, fabric: &str) -> Result<&mut NodeCell, CellMiss> {
+    fn cell(&mut self, node: &str, fabric: &str) -> Result<&mut NodeCell, DropReason> {
         if !self.cells.contains_key(node) {
             match self.nodes.get(node) {
-                None => return Err(CellMiss::Unknown),
-                Some(m) if m.health == NodeHealth::Failed => return Err(CellMiss::Dead),
+                None => return Err(DropReason::InjectUnknownNode),
+                Some(m) if m.health == NodeHealth::Failed => {
+                    return Err(DropReason::InjectDeadNode)
+                }
                 Some(_) => {}
             }
             let (key, managed) = self.nodes.remove_entry(node).expect("checked above");
@@ -174,22 +169,13 @@ struct WorkerOut {
     cost: Cost,
     overlay_hops: u32,
     protected_bytes: u64,
-    counters: BTreeMap<&'static str, u64>,
+    counters: TraceLog,
     /// The shard index this worker drained as.
     shard: usize,
-    /// Ghost walk: decisions only, no counter movement.
-    ghost: bool,
     /// Claims served from the worker's own ring / stolen from
     /// foreign rings (utilization signal).
     claims_home: u64,
     claims_stolen: u64,
-}
-impl WorkerOut {
-    fn count(&mut self, name: &'static str, n: u64) {
-        if n > 0 && !self.ghost {
-            *self.counters.entry(name).or_insert(0) += n;
-        }
-    }
 }
 
 /// The cross-worker shuttle state. It *owns* the fleet cells
@@ -269,43 +255,21 @@ impl Domain {
             {
                 let cell = match state.cell(node, &fabric) {
                     Ok(cell) => cell,
-                    Err(miss) => {
-                        let reason = match miss {
-                            CellMiss::Dead => DropReason::InjectDeadNode,
-                            CellMiss::Unknown => DropReason::InjectUnknownNode,
-                        };
-                        if !ghost {
-                            trace.count(reason.as_str(), 1);
-                        }
-                        if let Some(f) = &flight {
-                            f.hop(
-                                node,
-                                HopKind::Drop {
-                                    reason,
-                                    detail: String::new(),
-                                },
-                            );
-                        }
+                    Err(reason) => {
+                        record_drop(trace, flight.as_deref(), node, reason, 1, format_args!(""));
                         continue;
                     }
                 };
                 let managed = cell.managed.as_mut().expect("no worker running yet");
                 let Some(pid) = managed.node.port_id(port.as_ref()) else {
-                    if !ghost {
-                        managed
-                            .node
-                            .trace
-                            .count(DropReason::InjectUnknownPort.as_str(), 1);
-                    }
-                    if let Some(f) = &flight {
-                        f.hop(
-                            node,
-                            HopKind::Drop {
-                                reason: DropReason::InjectUnknownPort,
-                                detail: format!("no port '{}'", port.as_ref()),
-                            },
-                        );
-                    }
+                    record_drop(
+                        &mut managed.node.trace,
+                        flight.as_deref(),
+                        node,
+                        DropReason::InjectUnknownPort,
+                        1,
+                        format_args!("no port '{}'", port.as_ref()),
+                    );
                     continue;
                 };
                 if let Some(f) = &flight {
@@ -434,7 +398,7 @@ impl Domain {
                     )
                     .set((worker.claims_home + worker.claims_stolen) as i64);
             }
-            for (name, n) in worker.counters {
+            for (name, n) in worker.counters.counters() {
                 self.trace.count(name, n);
             }
         }
@@ -458,7 +422,7 @@ impl Domain {
 /// until no frame is in flight.
 fn drain(sh: &Shuttle, shard: usize) {
     let fabric = &sh.fabric;
-    let flight = &sh.flight;
+    let flight = sh.flight.as_deref();
     let ghost = sh.ghost;
     let esp_fixed_ns = sh.esp_fixed_ns;
     let esp_ns_per_byte = sh.esp_ns_per_byte;
@@ -471,7 +435,6 @@ fn drain(sh: &Shuttle, shard: usize) {
     let _abort_guard = AbortGuard(&sh.aborted);
     let mut out = WorkerOut {
         shard,
-        ghost,
         ..WorkerOut::default()
     };
     loop {
@@ -504,7 +467,7 @@ fn drain(sh: &Shuttle, shard: usize) {
             out.claims_home += 1;
         }
         let consumed = burst.len();
-        let node_io = managed.node.inject_batch_flight(burst, flight.as_deref());
+        let node_io = managed.node.inject_batch_flight(burst, flight);
         out.cost += node_io.cost;
         // Hand the node back before shuttling so another worker
         // can claim it for frames already heading its way.
@@ -528,34 +491,28 @@ fn drain(sh: &Shuttle, shard: usize) {
             match pkt.vlan_id() {
                 Some(vid) => fabric_bursts.entry(vid).or_default().push(pkt),
                 None => {
-                    out.count(DropReason::OverlayUntagged.as_str(), 1);
-                    if let Some(f) = &flight {
-                        f.hop(
-                            name.as_str(),
-                            HopKind::Drop {
-                                reason: DropReason::OverlayUntagged,
-                                detail: String::new(),
-                            },
-                        );
-                    }
+                    record_drop(
+                        &mut out.counters,
+                        flight,
+                        name.as_str(),
+                        DropReason::OverlayUntagged,
+                        1,
+                        format_args!(""),
+                    );
                 }
             }
         }
         for (vid, frames) in fabric_bursts {
             let n = frames.len() as u64;
             let Some(link_mx) = links.get(&vid) else {
-                out.count(DropReason::OverlayUnroutable.as_str(), n);
-                if let Some(f) = &flight {
-                    for _ in 0..n {
-                        f.hop(
-                            name.as_str(),
-                            HopKind::Drop {
-                                reason: DropReason::OverlayUnroutable,
-                                detail: format!("no overlay link for vid {vid}"),
-                            },
-                        );
-                    }
-                }
+                record_drop(
+                    &mut out.counters,
+                    flight,
+                    name.as_str(),
+                    DropReason::OverlayUnroutable,
+                    n,
+                    format_args!("no overlay link for vid {vid}"),
+                );
                 continue;
             };
             let mut survivors: Vec<Packet> = Vec::with_capacity(frames.len());
@@ -576,18 +533,14 @@ fn drain(sh: &Shuttle, shard: usize) {
                     Some(i) if i + 1 < state.path.len() => (i + 1, i),
                     Some(1) if state.path.len() == 2 => (0, 0),
                     _ => {
-                        out.count(DropReason::OverlayForeign.as_str(), n);
-                        if let Some(f) = &flight {
-                            for _ in 0..n {
-                                f.hop(
-                                    name.as_str(),
-                                    HopKind::Drop {
-                                        reason: DropReason::OverlayForeign,
-                                        detail: format!("not on the pinned path of vid {vid}"),
-                                    },
-                                );
-                            }
-                        }
+                        record_drop(
+                            &mut out.counters,
+                            flight,
+                            name.as_str(),
+                            DropReason::OverlayForeign,
+                            n,
+                            format_args!("not on the pinned path of vid {vid}"),
+                        );
                         continue;
                     }
                 };
@@ -638,16 +591,14 @@ fn drain(sh: &Shuttle, shard: usize) {
                         let sealed = match esp::encapsulate(sa_out, pkt.data()) {
                             Ok(s) => s,
                             Err(_) => {
-                                out.count(DropReason::OverlayEspSealFail.as_str(), 1);
-                                if let Some(f) = &flight {
-                                    f.hop(
-                                        name.as_str(),
-                                        HopKind::Drop {
-                                            reason: DropReason::OverlayEspSealFail,
-                                            detail: format!("vid {vid}"),
-                                        },
-                                    );
-                                }
+                                record_drop(
+                                    &mut out.counters,
+                                    flight,
+                                    name.as_str(),
+                                    DropReason::OverlayEspSealFail,
+                                    1,
+                                    format_args!("vid {vid}"),
+                                );
                                 continue;
                             }
                         };
@@ -656,22 +607,22 @@ fn drain(sh: &Shuttle, shard: usize) {
                                 out.protected_bytes += len as u64;
                             }
                             _ => {
-                                out.count(DropReason::OverlayEspVerifyFail.as_str(), 1);
-                                if let Some(f) = &flight {
-                                    f.hop(
-                                        name.as_str(),
-                                        HopKind::Drop {
-                                            reason: DropReason::OverlayEspVerifyFail,
-                                            detail: format!("vid {vid}"),
-                                        },
-                                    );
-                                }
+                                record_drop(
+                                    &mut out.counters,
+                                    flight,
+                                    name.as_str(),
+                                    DropReason::OverlayEspVerifyFail,
+                                    1,
+                                    format_args!("vid {vid}"),
+                                );
                                 continue;
                             }
                         }
                     }
-                    out.count("overlay_frames", 1);
-                    if let Some(f) = &flight {
+                    if !ghost {
+                        out.counters.count("overlay_frames", 1);
+                    }
+                    if let Some(f) = flight {
                         f.hop(
                             name.as_str(),
                             HopKind::OverlayHop {
@@ -695,71 +646,51 @@ fn drain(sh: &Shuttle, shard: usize) {
             // seeded with overlay_ttl may cross exactly that
             // many times.
             if ttl_left == 0 {
-                out.count(DropReason::OverlayLoop.as_str(), k as u64);
-                if let Some(f) = &flight {
-                    for _ in 0..k {
-                        f.hop(
-                            name.as_str(),
-                            HopKind::Drop {
-                                reason: DropReason::OverlayLoop,
-                                detail: format!("overlay TTL expired on vid {vid}"),
-                            },
-                        );
-                    }
-                }
+                record_drop(
+                    &mut out.counters,
+                    flight,
+                    name.as_str(),
+                    DropReason::OverlayLoop,
+                    k as u64,
+                    format_args!("overlay TTL expired on vid {vid}"),
+                );
                 continue;
             }
             if crossings.fetch_add(k as u64, Ordering::AcqRel) >= crossing_cap {
-                out.count(DropReason::OverlayWorkExhausted.as_str(), k as u64);
-                if let Some(f) = &flight {
-                    for _ in 0..k {
-                        f.hop(
-                            name.as_str(),
-                            HopKind::Drop {
-                                reason: DropReason::OverlayWorkExhausted,
-                                detail: String::new(),
-                            },
-                        );
-                    }
-                }
+                record_drop(
+                    &mut out.counters,
+                    flight,
+                    name.as_str(),
+                    DropReason::OverlayWorkExhausted,
+                    k as u64,
+                    format_args!(""),
+                );
                 continue;
             }
             let mut pool = pool.lock().expect("shuttle pool poisoned");
-            let cell = match pool.cell(peer.as_str(), &fabric) {
+            let cell = match pool.cell(peer.as_str(), fabric) {
                 Ok(cell) => cell,
-                Err(miss) => {
-                    let reason = match miss {
-                        CellMiss::Dead => DropReason::InjectDeadNode,
-                        CellMiss::Unknown => DropReason::InjectUnknownNode,
-                    };
-                    out.count(reason.as_str(), k as u64);
-                    if let Some(f) = &flight {
-                        for _ in 0..k {
-                            f.hop(
-                                peer.as_str(),
-                                HopKind::Drop {
-                                    reason,
-                                    detail: String::new(),
-                                },
-                            );
-                        }
-                    }
+                Err(reason) => {
+                    record_drop(
+                        &mut out.counters,
+                        flight,
+                        peer.as_str(),
+                        reason,
+                        k as u64,
+                        format_args!(""),
+                    );
                     continue;
                 }
             };
             let Some(fid) = cell.fabric_id else {
-                out.count(DropReason::OverlayUnroutable.as_str(), k as u64);
-                if let Some(f) = &flight {
-                    for _ in 0..k {
-                        f.hop(
-                            peer.as_str(),
-                            HopKind::Drop {
-                                reason: DropReason::OverlayUnroutable,
-                                detail: "peer has no fabric port".to_string(),
-                            },
-                        );
-                    }
-                }
+                record_drop(
+                    &mut out.counters,
+                    flight,
+                    peer.as_str(),
+                    DropReason::OverlayUnroutable,
+                    k as u64,
+                    format_args!("peer has no fabric port"),
+                );
                 continue;
             };
             in_flight.fetch_add(k, Ordering::Release);
