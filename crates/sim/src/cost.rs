@@ -24,7 +24,9 @@
 //! The *shape* of Table 1 (VM ≪ Docker ≈ Native) is robust to the exact
 //! values: the VM path structurally pays 4 extra copies, 2 vmexits and 2
 //! guest user/kernel crossings per packet that the host-kernel flavors
-//! cannot incur. See `EXPERIMENTS.md` for measured-vs-paper numbers.
+//! cannot incur. For measured-vs-paper numbers run the `table1` and
+//! `figure1` bins of `un-bench` (`cargo run --release -p un-bench --bin
+//! table1`, likewise `figure1`).
 
 use crate::time::SimDuration;
 
