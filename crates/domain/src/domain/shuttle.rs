@@ -229,8 +229,6 @@ impl Domain {
         let mut io = DomainIo::default();
         let ttl = self.config.overlay_ttl.max(1);
         let fabric = self.config.fabric_port.clone();
-        let esp_fixed_ns = self.config.esp_fixed_ns;
-        let esp_ns_per_byte = self.config.esp_ns_per_byte;
         let shards = workers.max(1);
         // Build (or resize) the persistent worker pool up front;
         // single-worker calls drain inline and never touch it.
@@ -326,8 +324,8 @@ impl Domain {
             aborted: std::sync::atomic::AtomicBool::new(false),
             outs: Mutex::new(Vec::with_capacity(shards)),
             fabric,
-            esp_fixed_ns,
-            esp_ns_per_byte,
+            esp_fixed_ns: self.config.esp_fixed_ns,
+            esp_ns_per_byte: self.config.esp_ns_per_byte,
             flight,
             ghost,
         });
@@ -424,14 +422,9 @@ fn drain(sh: &Shuttle, shard: usize) {
     let fabric = &sh.fabric;
     let flight = sh.flight.as_deref();
     let ghost = sh.ghost;
-    let esp_fixed_ns = sh.esp_fixed_ns;
-    let esp_ns_per_byte = sh.esp_ns_per_byte;
     let pool = &sh.pool;
-    let links = &sh.links;
     let work_ready = &sh.work_ready;
     let in_flight = &sh.in_flight;
-    let crossings = &sh.crossings;
-    let crossing_cap = sh.crossing_cap;
     let _abort_guard = AbortGuard(&sh.aborted);
     let mut out = WorkerOut {
         shard,
@@ -504,7 +497,7 @@ fn drain(sh: &Shuttle, shard: usize) {
         }
         for (vid, frames) in fabric_bursts {
             let n = frames.len() as u64;
-            let Some(link_mx) = links.get(&vid) else {
+            let Some(link_mx) = sh.links.get(&vid) else {
                 record_drop(
                     &mut out.counters,
                     flight,
@@ -586,7 +579,7 @@ fn drain(sh: &Shuttle, shard: usize) {
                         // frame that fails to verify never
                         // reaches the peer.
                         let (sa_out, sa_in) = sas;
-                        let per_dir = esp_fixed_ns as f64 + esp_ns_per_byte * len as f64;
+                        let per_dir = sh.esp_fixed_ns as f64 + sh.esp_ns_per_byte * len as f64;
                         out.cost += Cost::from_nanos((2.0 * per_dir) as u64);
                         let sealed = match esp::encapsulate(sa_out, pkt.data()) {
                             Ok(s) => s,
@@ -656,7 +649,7 @@ fn drain(sh: &Shuttle, shard: usize) {
                 );
                 continue;
             }
-            if crossings.fetch_add(k as u64, Ordering::AcqRel) >= crossing_cap {
+            if sh.crossings.fetch_add(k as u64, Ordering::AcqRel) >= sh.crossing_cap {
                 record_drop(
                     &mut out.counters,
                     flight,
