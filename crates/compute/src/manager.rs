@@ -217,9 +217,9 @@ impl ComputeManager {
         }
         match &info.handle {
             Handle::Vm(vm) => self.vm.destroy(*vm)?,
-            Handle::Docker => self.docker.destroy(id.0)?,
+            Handle::Docker => self.docker.destroy(id.0, env.host)?,
             Handle::Dpdk => self.dpdk.destroy(id.0)?,
-            Handle::Native => self.native.destroy(id.0)?,
+            Handle::Native => self.native.destroy(id.0, env.host)?,
         }
         let info = self.instances.remove(&id.0).unwrap();
         env.ledger.free_account(info.account);

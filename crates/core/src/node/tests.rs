@@ -328,3 +328,30 @@ fn linear_classifier_mode_forwards_identically() {
     let stats = n.flow_cache_stats();
     assert_eq!(stats.cache_hits, 0, "linear mode bypasses the cache");
 }
+
+#[test]
+fn deploy_undeploy_cycles_release_host_state() {
+    for flavor in ["native", "docker", "vm"] {
+        let mut n = node();
+        let g = NfFgBuilder::new("g", "churn")
+            .interface_endpoint("lan", "eth0")
+            .interface_endpoint("wan", "eth1")
+            .nf("br", "bridge", 2)
+            .with_flavor(flavor)
+            .chain("lan", &["br"], "wan")
+            .build();
+        let namespaces = n.host.namespace_count();
+        let ifaces = n.host.iface_count();
+        for _ in 0..1000 {
+            n.deploy(&g).unwrap();
+            n.undeploy("g").unwrap();
+        }
+        assert_eq!(n.host.namespace_count(), namespaces, "{flavor}");
+        assert_eq!(n.host.iface_count(), ifaces, "{flavor}");
+        // The freed slots are reused: the node still forwards.
+        n.deploy(&g).unwrap();
+        let io = n.inject("eth0", frame(b"after-churn"));
+        assert_eq!(io.emitted.len(), 1, "{flavor}");
+        assert_eq!(io.emitted[0].0, "eth1", "{flavor}");
+    }
+}

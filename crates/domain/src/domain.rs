@@ -1,7 +1,7 @@
 //! The domain orchestrator: a fleet of Universal Nodes behaving as one.
 //!
 //! [`Domain`] owns N [`UniversalNode`]s, accepts whole NF-FGs, splits
-//! them with [`crate::placement`] + [`crate::partition`], deploys the
+//! them with [`crate::placement`] + [`crate::partition`](mod@crate::partition), deploys the
 //! parts, and stitches cut edges with **inter-node overlay links**:
 //! VLAN-tagged virtual wires riding a dedicated fabric interface on
 //! every node, optionally ESP-protected with `un-ipsec` (real

@@ -18,7 +18,7 @@
 //!   graph to a node, respecting per-node NNF catalogs, memory
 //!   admission estimates, and sharable-NNF reuse; bin-packing (`Pack`)
 //!   or load-spreading (`Spread`).
-//! * [`partition`] — pure graph surgery: split one NF-FG into per-node
+//! * [`partition`](mod@partition) — pure graph surgery: split one NF-FG into per-node
 //!   sub-graphs and synthesize endpoint pairs for every cut edge.
 //!   Reassembly ([`partition::reassemble`]) is the exact inverse,
 //!   which the property tests exploit.

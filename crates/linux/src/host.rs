@@ -38,6 +38,12 @@ use crate::xfrm::{Xfrm, XfrmOutput};
 /// Maximum processing recursion (veth hops, recirculations) per frame.
 const MAX_DEPTH: u32 = 64;
 
+/// Handle stored in a removed namespace's slot until it is reused.
+const FREED_NS: NsId = NsId(u32::MAX);
+
+/// Handle stored in a removed interface's slot until it is reused.
+const FREED_IFACE: IfaceId = IfaceId(u32::MAX);
+
 /// One network namespace.
 #[derive(Debug)]
 pub struct Namespace {
@@ -65,6 +71,26 @@ pub struct Namespace {
     pub forwarded: u64,
     /// Packets dropped (all causes).
     pub dropped: u64,
+}
+
+impl Namespace {
+    /// A namespace with no interfaces and empty tables.
+    fn new(id: NsId, name: &str) -> Self {
+        Namespace {
+            id,
+            name: name.to_string(),
+            ifaces: Vec::new(),
+            routing: RoutingPolicy::new(),
+            netfilter: Netfilter::new(),
+            conntrack: Conntrack::new(),
+            xfrm: Xfrm::new(),
+            neigh: HashMap::new(),
+            ip_forward: false,
+            delivered: 0,
+            forwarded: 0,
+            dropped: 0,
+        }
+    }
 }
 
 struct Ctx {
@@ -104,6 +130,10 @@ pub struct Host {
     pub trace: TraceLog,
     now: SimTime,
     next_mac: u32,
+    /// Slots of removed namespaces, reused by the next `add_namespace`.
+    free_ns: Vec<NsId>,
+    /// Slots of removed interfaces, reused by the next interface.
+    free_ifaces: Vec<IfaceId>,
 }
 
 impl Host {
@@ -118,6 +148,8 @@ impl Host {
             trace: TraceLog::new(16_384),
             now: SimTime::ZERO,
             next_mac: 1,
+            free_ns: Vec::new(),
+            free_ifaces: Vec::new(),
         };
         h.add_namespace("root");
         h
@@ -137,29 +169,95 @@ impl Host {
     // Configuration plane ("ip", "iptables", "sysctl")
     // ------------------------------------------------------------------
 
-    /// Create a namespace (with a loopback interface).
+    /// Create a namespace (with a loopback interface). Reuses the slot
+    /// of a removed namespace if there is one.
     pub fn add_namespace(&mut self, name: &str) -> NsId {
-        let id = NsId(self.namespaces.len() as u32);
-        self.namespaces.push(Namespace {
-            id,
-            name: name.to_string(),
-            ifaces: Vec::new(),
-            routing: RoutingPolicy::new(),
-            netfilter: Netfilter::new(),
-            conntrack: Conntrack::new(),
-            xfrm: Xfrm::new(),
-            neigh: HashMap::new(),
-            ip_forward: false,
-            delivered: 0,
-            forwarded: 0,
-            dropped: 0,
-        });
+        let slot = self.free_ns.pop();
+        let id = slot.unwrap_or(NsId(self.namespaces.len() as u32));
+        let ns = Namespace::new(id, name);
+        match slot {
+            Some(_) => self.namespaces[id.0 as usize] = ns,
+            None => self.namespaces.push(ns),
+        }
         let lo = self.push_iface(id, "lo", IfaceKind::Loopback);
         self.ifaces[lo.0 as usize]
             .addrs
             .push(Ipv4Cidr::new(Ipv4Addr::LOCALHOST, 8));
         self.ifaces[lo.0 as usize].up = true;
         id
+    }
+
+    /// Delete a namespace (`ip netns del`). Its interfaces go, and so
+    /// do the peers of its veths, wherever they live. Its sockets are
+    /// closed. Its conntrack, netfilter, routing, neighbour and XFRM
+    /// state is dropped. Later `add_namespace` and interface calls reuse
+    /// the freed slots, so the `NsId`/`IfaceId` of live objects never
+    /// change. The root namespace cannot be removed.
+    pub fn remove_namespace(&mut self, ns: NsId) -> Result<(), HostError> {
+        self.ns_check(ns)?;
+        if ns == NsId(0) {
+            return Err(HostError::NoSuchNamespace(0));
+        }
+        let gone = std::mem::take(&mut self.namespaces[ns.0 as usize].ifaces);
+        for &id in &gone {
+            if let IfaceKind::Veth { peer } = self.ifaces[id.0 as usize].kind {
+                let peer_ns = self.ifaces[peer.0 as usize].ns;
+                if peer_ns != ns {
+                    self.remove_iface(peer);
+                }
+            }
+        }
+        for id in gone {
+            self.free_iface(id);
+        }
+        self.sockets.close_namespace(ns);
+        // A fresh, empty namespace drops every table the old one held.
+        self.namespaces[ns.0 as usize] = Namespace::new(FREED_NS, "");
+        self.free_ns.push(ns);
+        Ok(())
+    }
+
+    /// Detach `id` from its (surviving) namespace, with its VLAN
+    /// sub-interfaces: out of the interface list, out of any bridge
+    /// there, and no route through it.
+    fn remove_iface(&mut self, id: IfaceId) {
+        let ns = self.ifaces[id.0 as usize].ns;
+        let subs: Vec<IfaceId> = self.namespaces[ns.0 as usize]
+            .ifaces
+            .iter()
+            .copied()
+            .filter(|&i| {
+                matches!(self.ifaces[i.0 as usize].kind, IfaceKind::VlanSub { parent, .. } if parent == id)
+            })
+            .collect();
+        for sub in subs {
+            self.remove_iface(sub);
+        }
+        let owner = &mut self.namespaces[ns.0 as usize];
+        owner.ifaces.retain(|&i| i != id);
+        for table in owner.routing.tables.values_mut() {
+            table.remove_dev(id);
+        }
+        for &other in &owner.ifaces {
+            if let IfaceKind::Bridge { members, fdb } = &mut self.ifaces[other.0 as usize].kind {
+                members.retain(|&m| m != id);
+                fdb.retain(|_, m| *m != id);
+            }
+        }
+        self.free_iface(id);
+    }
+
+    /// Reset an interface slot to an inert placeholder and queue it for
+    /// reuse.
+    fn free_iface(&mut self, id: IfaceId) {
+        self.ifaces[id.0 as usize] = Iface::new(
+            FREED_IFACE,
+            FREED_NS,
+            "",
+            MacAddr::ZERO,
+            IfaceKind::Loopback,
+        );
+        self.free_ifaces.push(id);
     }
 
     fn alloc_mac(&mut self) -> MacAddr {
@@ -169,22 +267,14 @@ impl Host {
     }
 
     fn push_iface(&mut self, ns: NsId, name: &str, kind: IfaceKind) -> IfaceId {
-        let id = IfaceId(self.ifaces.len() as u32);
+        let slot = self.free_ifaces.pop();
+        let id = slot.unwrap_or(IfaceId(self.ifaces.len() as u32));
         let mac = self.alloc_mac();
-        self.ifaces.push(Iface {
-            id,
-            ns,
-            name: name.to_string(),
-            mac,
-            addrs: Vec::new(),
-            up: false,
-            kind,
-            ct_zone: 0,
-            rx_packets: 0,
-            tx_packets: 0,
-            rx_bytes: 0,
-            tx_bytes: 0,
-        });
+        let iface = Iface::new(id, ns, name, mac, kind);
+        match slot {
+            Some(_) => self.ifaces[id.0 as usize] = iface,
+            None => self.ifaces.push(iface),
+        }
         self.namespaces[ns.0 as usize].ifaces.push(id);
         id
     }
@@ -399,45 +489,55 @@ impl Host {
         Ok(&mut self.namespaces[ns.0 as usize].xfrm)
     }
 
+    // A slot is live iff the handle stored in it matches its index:
+    // removed slots hold `FREED_NS` / `FREED_IFACE` until reused.
+
     /// Read access to a namespace.
     pub fn namespace(&self, ns: NsId) -> Option<&Namespace> {
-        self.namespaces.get(ns.0 as usize)
+        self.namespaces.get(ns.0 as usize).filter(|n| n.id == ns)
     }
 
     /// Mutable access to a namespace.
     pub fn namespace_mut(&mut self, ns: NsId) -> Option<&mut Namespace> {
-        self.namespaces.get_mut(ns.0 as usize)
+        self.namespaces
+            .get_mut(ns.0 as usize)
+            .filter(|n| n.id == ns)
     }
 
     /// Read access to an interface.
     pub fn iface(&self, id: IfaceId) -> Option<&Iface> {
-        self.ifaces.get(id.0 as usize)
+        self.ifaces.get(id.0 as usize).filter(|i| i.id == id)
     }
 
     /// Look up an interface by (namespace, name).
     pub fn iface_by_name(&self, ns: NsId, name: &str) -> Option<&Iface> {
-        self.ifaces.iter().find(|i| i.ns == ns && i.name == name)
+        self.namespace(ns)?
+            .ifaces
+            .iter()
+            .map(|&i| &self.ifaces[i.0 as usize])
+            .find(|i| i.name == name)
     }
 
-    /// Number of namespaces.
+    /// Number of live namespaces (the root included).
     pub fn namespace_count(&self) -> usize {
-        self.namespaces.len()
+        self.namespaces.len() - self.free_ns.len()
+    }
+
+    /// Number of live interfaces across all namespaces.
+    pub fn iface_count(&self) -> usize {
+        self.ifaces.len() - self.free_ifaces.len()
     }
 
     fn ns_check(&self, ns: NsId) -> Result<(), HostError> {
-        if (ns.0 as usize) < self.namespaces.len() {
-            Ok(())
-        } else {
-            Err(HostError::NoSuchNamespace(ns.0))
-        }
+        self.namespace(ns)
+            .map(|_| ())
+            .ok_or(HostError::NoSuchNamespace(ns.0))
     }
 
     fn iface_check(&self, id: IfaceId) -> Result<(), HostError> {
-        if (id.0 as usize) < self.ifaces.len() {
-            Ok(())
-        } else {
-            Err(HostError::NoSuchIface(id.0))
-        }
+        self.iface(id)
+            .map(|_| ())
+            .ok_or(HostError::NoSuchIface(id.0))
     }
 
     // ------------------------------------------------------------------

@@ -586,3 +586,78 @@ fn costs_accumulate_along_path() {
     assert!(h.udp_recv(srv).is_some());
     let _ = cli;
 }
+
+#[test]
+fn remove_namespace_frees_ifaces_peers_and_sockets() {
+    let (mut h, a, b) = two_ns_host();
+    let (c, d) = (h.add_namespace("c"), h.add_namespace("d"));
+    let c_lo = h.iface_by_name(c, "lo").unwrap().id;
+    let br = h.add_bridge(c, "br0").unwrap();
+    let (vc, vd) = h.add_veth(c, "veth-c", d, "veth-d").unwrap();
+    h.bridge_attach(br, vc).unwrap();
+    let (vd2, vb) = h.add_veth(d, "veth-d2", b, "veth-b2").unwrap();
+    h.route_add(b, 0, cidr("10.9.0.0/16"), None, vb, 0).unwrap();
+    let vb_sub = h.add_vlan_sub(vb, 10, "veth-b2.10").unwrap();
+    let sock = h.udp_bind(d, Ipv4Addr::UNSPECIFIED, 500).unwrap();
+    let (namespaces, ifaces) = (h.namespace_count(), h.iface_count());
+
+    h.remove_namespace(d).unwrap();
+    assert_eq!(h.namespace_count(), namespaces - 1);
+    // d's lo and both veth ends it held go, and so do their peers in c
+    // and b, with the VLAN sub-interface on b's peer.
+    assert_eq!(h.iface_count(), ifaces - 6);
+    for gone in [vd, vd2, vc, vb, vb_sub] {
+        assert!(h.iface(gone).is_none(), "{gone}");
+    }
+    assert!(h.namespace(d).is_none());
+    assert!(h.iface_by_name(b, "veth-b2").is_none());
+    assert!(h.iface_by_name(c, "veth-c").is_none());
+    let main = &h.namespace(b).unwrap().routing.tables[&0];
+    assert!(
+        main.iter().all(|r| r.dev != vb),
+        "no route through a gone peer"
+    );
+    match &h.iface(br).unwrap().kind {
+        IfaceKind::Bridge { members, .. } => assert!(members.is_empty()),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(h.udp_pending(sock), 0);
+    assert!(matches!(
+        h.remove_namespace(d),
+        Err(HostError::NoSuchNamespace(_))
+    ));
+    assert!(h.remove_namespace(NsId(0)).is_err(), "root stays");
+
+    // The next namespace reuses d's slot with clean state; live handles
+    // keep their ids, and a bind on d's old port is free again.
+    let e = h.add_namespace("e");
+    assert_eq!(e, d);
+    assert_eq!(h.namespace(e).unwrap().name, "e");
+    assert_eq!(h.namespace(e).unwrap().ifaces.len(), 1, "only lo");
+    assert!(h.udp_bind(e, Ipv4Addr::UNSPECIFIED, 500).is_ok());
+    assert_eq!(h.iface_by_name(c, "lo").unwrap().id, c_lo);
+    assert_eq!(h.iface_by_name(a, "veth-a").unwrap().ns, a);
+    // The surviving veth between a and b still carries traffic.
+    let echo = un_packet::PacketBuilder::new()
+        .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+        .icmp_echo(un_packet::icmp::IcmpKind::EchoRequest, 7, 1)
+        .build();
+    h.raw_send(a, echo.data().to_vec()).unwrap();
+    assert_eq!(h.trace.counter("icmp_echo_requests"), 1);
+}
+
+#[test]
+fn namespace_churn_keeps_tables_bounded() {
+    let mut h = Host::new("churn", CostModel::default());
+    for i in 0..1000 {
+        let ns = h.add_namespace(&format!("nf-{i}"));
+        for p in 0..2u64 {
+            h.add_external(ns, &format!("port{p}"), p).unwrap();
+        }
+        h.remove_namespace(ns).unwrap();
+    }
+    assert_eq!(h.namespace_count(), 1);
+    assert_eq!(h.iface_count(), 1);
+    assert_eq!(h.namespaces.len(), 2, "one slot, reused");
+    assert_eq!(h.ifaces.len(), 4, "three slots, reused");
+}

@@ -94,6 +94,24 @@ pub struct Iface {
 }
 
 impl Iface {
+    /// A down interface with no addresses and zeroed counters.
+    pub(crate) fn new(id: IfaceId, ns: NsId, name: &str, mac: MacAddr, kind: IfaceKind) -> Self {
+        Iface {
+            id,
+            ns,
+            name: name.to_string(),
+            mac,
+            addrs: Vec::new(),
+            up: false,
+            kind,
+            ct_zone: 0,
+            rx_packets: 0,
+            tx_packets: 0,
+            rx_bytes: 0,
+            tx_bytes: 0,
+        }
+    }
+
     /// Does this interface own `ip`?
     pub fn has_addr(&self, ip: Ipv4Addr) -> bool {
         self.addrs.iter().any(|c| c.addr() == ip)

@@ -83,6 +83,15 @@ impl SocketTable {
         }
     }
 
+    /// Close every socket bound in `ns` and drop their queued
+    /// datagrams (the namespace is going away).
+    pub fn close_namespace(&mut self, ns: NsId) {
+        self.bound.retain(|&(bound_ns, _), _| bound_ns != ns);
+        for s in self.sockets.iter_mut().filter(|s| s.ns == ns) {
+            s.rx = VecDeque::new();
+        }
+    }
+
     /// Look up the socket that should receive a datagram.
     pub fn demux(&self, ns: NsId, dst: Ipv4Addr, dport: u16) -> Option<SocketId> {
         self.bound.get(&(ns, dport)).and_then(|&idx| {

@@ -13,8 +13,8 @@
 //! flavor for every NF (VM / Docker / DPDK / **native**), and wires
 //! virtual links. This crate is pure data: model ([`model`]), JSON wire
 //! format compatible in spirit with the original un-orchestrator schema
-//! ([`json`]), static validation ([`validate`]), structural diffing for
-//! incremental updates ([`diff`]) and an ergonomic builder ([`builder`]).
+//! ([`json`]), static validation ([`validate`](mod@validate)), structural diffing for
+//! incremental updates ([`diff`](mod@diff)) and an ergonomic builder ([`builder`]).
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]

@@ -19,7 +19,7 @@
 //!   ingress traffic is marked (fwmark + conntrack zone) and whose
 //!   egress is re-tagged, plus per-graph routing tables ("multiple
 //!   internal paths").
-//! * [`translate`] — the generic-config → per-NNF-commands translation
+//! * [`translate`](mod@translate) — the generic-config → per-NNF-commands translation
 //!   the paper leaves as future work, implemented here as an extension
 //!   (see DESIGN.md §6).
 

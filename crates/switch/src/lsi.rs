@@ -291,6 +291,10 @@ impl LogicalSwitch {
 
         let mut outputs: Vec<(PortNo, Packet)> = Vec::new();
         let mut punted: Option<Packet> = None;
+        // The latest `Output` whose copy is not taken yet. It is flushed
+        // with a clone before anything that changes the packet or emits
+        // ahead of it; the last one takes the packet itself at the end.
+        let mut pending: Option<PortNo> = None;
 
         let mut table_idx: u8 = 0;
         let mut matched_any = false;
@@ -299,18 +303,7 @@ impl LogicalSwitch {
             let Some(table) = self.tables.get_mut(table_idx as usize) else {
                 break;
             };
-            let hit = if ghost {
-                table.lookup_ghost(&key)
-            } else {
-                table.lookup(&key, len)
-            };
-            let Some(LookupHit {
-                actions,
-                path,
-                cookie,
-                priority,
-            }) = hit
-            else {
+            let Some((idx, path)) = table.resolve(&key, len, ghost) else {
                 if opts.record {
                     steps.push(PipelineStep {
                         table: table_idx,
@@ -327,11 +320,20 @@ impl LogicalSwitch {
                 LookupPath::MegaflowHit => Cost::from_nanos(costs.flow_megaflow_hit_ns),
                 LookupPath::Miss => Cost::from_nanos(costs.flow_lookup_ns),
             };
+            let entry = self.tables[table_idx as usize].entry(idx);
 
-            let outputs_before = outputs.len();
+            let mut emitted: u32 = 0;
             let mut goto: Option<u8> = None;
-            for action in &actions {
+            for action in &entry.actions {
                 cost += Cost::from_nanos(costs.flow_action_ns);
+                // Controller and GotoTable neither change the packet nor
+                // emit an output; every other action may, so the pending
+                // copy is taken first to keep its bytes and its order.
+                if !matches!(action, FlowAction::Controller | FlowAction::GotoTable(_)) {
+                    if let Some(prev) = pending.take() {
+                        outputs.push((prev, pkt.clone()));
+                    }
+                }
                 match *action {
                     FlowAction::Output(out) => {
                         if let Some(op) = self.ports.get_mut(&out) {
@@ -340,27 +342,21 @@ impl LogicalSwitch {
                                 op.tx_bytes += pkt.len() as u64;
                                 self.stats.tx_packets += 1;
                             }
-                            outputs.push((out, pkt.clone()));
+                            pending = Some(out);
+                            emitted += 1;
                         } else if !ghost {
                             self.stats.dropped += 1;
                         }
                     }
                     FlowAction::Flood => {
-                        let targets: Vec<PortNo> = self
-                            .ports
-                            .keys()
-                            .copied()
-                            .filter(|p| *p != in_port)
-                            .collect();
-                        for out in targets {
+                        for (&out, op) in self.ports.iter_mut().filter(|(p, _)| **p != in_port) {
                             if !ghost {
-                                if let Some(op) = self.ports.get_mut(&out) {
-                                    op.tx_packets += 1;
-                                    op.tx_bytes += pkt.len() as u64;
-                                }
+                                op.tx_packets += 1;
+                                op.tx_bytes += pkt.len() as u64;
                                 self.stats.tx_packets += 1;
                             }
                             outputs.push((out, pkt.clone()));
+                            emitted += 1;
                         }
                     }
                     FlowAction::Controller => {
@@ -410,19 +406,17 @@ impl LogicalSwitch {
             if opts.record {
                 steps.push(PipelineStep {
                     table: table_idx,
-                    hit: Some(LookupHit {
-                        actions,
-                        path,
-                        cookie,
-                        priority,
-                    }),
-                    outputs: (outputs.len() - outputs_before) as u32,
+                    hit: Some(LookupHit::new(entry, path)),
+                    outputs: emitted,
                 });
             }
             match goto {
                 Some(t) => table_idx = t,
                 None => break 'pipeline,
             }
+        }
+        if let Some(last) = pending {
+            outputs.push((last, pkt));
         }
 
         if !ghost && (!matched_any || (outputs.is_empty() && punted.is_none())) {
@@ -647,6 +641,183 @@ mod tests {
         );
         assert!(sw.remove_port(PortNo(3)).is_ok());
         assert_eq!(sw.port_count(), 2);
+    }
+
+    /// Every counter a walk may move, as one comparable snapshot.
+    fn counters(sw: &LogicalSwitch) -> String {
+        let ports: Vec<_> = sw.ports().collect();
+        let entries: Vec<_> = sw
+            .tables()
+            .flat_map(|(_, t)| t.entries().map(|e| (e.packet_count, e.byte_count)))
+            .collect();
+        format!(
+            "{:?} {ports:?} {:?} {entries:?}",
+            sw.stats,
+            sw.cache_stats()
+        )
+    }
+
+    /// Run `pkt()` from port 1 as a ghost walk, a recorded walk and a
+    /// plain walk. The ghost walk must move no counter, all three must
+    /// emit the same frames, and the recorded steps must count
+    /// `step_outputs` copies per table. Returns the plain walk, which
+    /// is served by the microflow cache.
+    fn walk_three_ways(sw: &mut LogicalSwitch, step_outputs: &[u32]) -> ProcessResult {
+        let costs = CostModel::default();
+        let before = counters(sw);
+        let ghost = sw.process_opts(
+            PortNo(1),
+            pkt(),
+            &costs,
+            ProcessOptions {
+                ghost: true,
+                record: true,
+            },
+        );
+        assert_eq!(counters(sw), before, "ghost walk moved a counter");
+        let recorded = sw.process_opts(
+            PortNo(1),
+            pkt(),
+            &costs,
+            ProcessOptions {
+                ghost: false,
+                record: true,
+            },
+        );
+        let plain = sw.process(PortNo(1), pkt(), &costs);
+        for res in [&ghost, &recorded] {
+            assert_eq!(res.outputs, plain.outputs);
+            assert_eq!(res.punted, plain.punted);
+        }
+        // The ghost leaves the microflow cache cold, so the recorded walk
+        // takes the same classifier stage (and cost) after it.
+        assert_eq!(ghost.cost, recorded.cost);
+        let counts: Vec<u32> = recorded.steps.iter().map(|s| s.outputs).collect();
+        assert_eq!(counts, step_outputs);
+        assert_eq!(ghost.steps, recorded.steps);
+        plain
+    }
+
+    #[test]
+    fn output_before_mutation_keeps_pre_mutation_bytes() {
+        let mut sw = lsi();
+        sw.install(
+            0,
+            FlowEntry::new(
+                1,
+                FlowMatch::any(),
+                vec![
+                    FlowAction::Output(PortNo(2)),
+                    FlowAction::PushVlan(7),
+                    FlowAction::Output(PortNo(3)),
+                ],
+            ),
+        )
+        .unwrap();
+        let res = walk_three_ways(&mut sw, &[2]);
+        let got: Vec<(u32, Option<u16>)> = res
+            .outputs
+            .iter()
+            .map(|(p, f)| (p.0, f.vlan_id()))
+            .collect();
+        assert_eq!(got, vec![(2, None), (3, Some(7))]);
+        assert_eq!(res.outputs[0].1, pkt(), "port 2 sees the untouched frame");
+    }
+
+    #[test]
+    fn output_and_controller_see_the_same_bytes() {
+        for actions in [
+            vec![FlowAction::Output(PortNo(2)), FlowAction::Controller],
+            vec![FlowAction::Controller, FlowAction::Output(PortNo(2))],
+        ] {
+            let mut sw = lsi();
+            sw.install(0, FlowEntry::new(1, FlowMatch::any(), actions))
+                .unwrap();
+            let res = walk_three_ways(&mut sw, &[1]);
+            assert_eq!(res.outputs.len(), 1);
+            assert_eq!(res.outputs[0].0, PortNo(2));
+            assert_eq!(res.punted.as_ref(), Some(&res.outputs[0].1));
+            assert_eq!(res.punted, Some(pkt()));
+        }
+    }
+
+    #[test]
+    fn output_then_goto_then_mutation_emits_pre_mutation_copy_first() {
+        let mut sw = LogicalSwitch::new("LSI-m", 5, Backend::MultiTable(2));
+        for (no, name) in [(1, "in"), (2, "a"), (3, "b")] {
+            sw.add_port(PortNo(no), name).unwrap();
+        }
+        sw.install(
+            0,
+            FlowEntry::new(
+                1,
+                FlowMatch::in_port(PortNo(1)),
+                vec![FlowAction::Output(PortNo(2)), FlowAction::GotoTable(1)],
+            ),
+        )
+        .unwrap();
+        sw.install(
+            1,
+            FlowEntry::new(
+                1,
+                FlowMatch::any(),
+                vec![
+                    FlowAction::SetEthDst(MacAddr::local(9)),
+                    FlowAction::Output(PortNo(3)),
+                ],
+            ),
+        )
+        .unwrap();
+        let res = walk_three_ways(&mut sw, &[1, 1]);
+        let got: Vec<(u32, MacAddr)> = res
+            .outputs
+            .iter()
+            .map(|(p, f)| (p.0, f.ethernet().unwrap().dst()))
+            .collect();
+        assert_eq!(got, vec![(2, MacAddr::local(2)), (3, MacAddr::local(9))]);
+    }
+
+    #[test]
+    fn flood_after_output_keeps_order_and_counts() {
+        let mut sw = lsi();
+        sw.install(
+            0,
+            FlowEntry::new(
+                1,
+                FlowMatch::any(),
+                vec![FlowAction::Output(PortNo(2)), FlowAction::Flood],
+            ),
+        )
+        .unwrap();
+        let res = walk_three_ways(&mut sw, &[3]);
+        let ports: Vec<u32> = res.outputs.iter().map(|(p, _)| p.0).collect();
+        assert_eq!(ports, vec![2, 2, 3]);
+        assert!(res.outputs.iter().all(|(_, f)| *f == pkt()));
+        // Two real walks (recorded + plain), three copies each.
+        assert_eq!(sw.stats.tx_packets, 6);
+        assert_eq!(sw.port(PortNo(2)).unwrap().tx_packets, 4);
+        assert_eq!(sw.port(PortNo(1)).unwrap().tx_packets, 0);
+    }
+
+    #[test]
+    fn output_to_missing_port_keeps_pending_copy() {
+        let mut sw = lsi();
+        sw.install(
+            0,
+            FlowEntry::new(
+                1,
+                FlowMatch::any(),
+                vec![
+                    FlowAction::Output(PortNo(2)),
+                    FlowAction::Output(PortNo(42)),
+                    FlowAction::PopVlan,
+                ],
+            ),
+        )
+        .unwrap();
+        let res = walk_three_ways(&mut sw, &[1]);
+        assert_eq!(res.outputs, vec![(PortNo(2), pkt())]);
+        assert_eq!(sw.stats.dropped, 2, "one bad-port drop per real walk");
     }
 
     #[test]

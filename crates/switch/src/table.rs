@@ -58,12 +58,12 @@ pub enum LookupPath {
 
 /// A successful lookup: the matched entry's actions plus provenance —
 /// which classifier stage answered and which rule (cookie, priority)
-/// won. The provenance feeds the flight recorder and costs nothing
-/// extra: both fields are copied out of the entry the lookup already
-/// touched.
+/// won. The provenance feeds the flight recorder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupHit {
-    /// Clone of the matched entry's actions (cheap: small vectors).
+    /// Copy of the matched entry's actions. The LSI pipeline's hot path
+    /// borrows the entry's actions instead and builds a `LookupHit` only
+    /// when it records a flight-recorder step.
     pub actions: Vec<crate::flow::FlowAction>,
     /// Which classifier stage resolved the lookup.
     pub path: LookupPath,
@@ -71,6 +71,18 @@ pub struct LookupHit {
     pub cookie: u64,
     /// The matched rule's priority.
     pub priority: u16,
+}
+
+impl LookupHit {
+    /// Provenance of `entry`, resolved by the `path` stage.
+    pub(crate) fn new(entry: &FlowEntry, path: LookupPath) -> Self {
+        LookupHit {
+            actions: entry.actions.clone(),
+            path,
+            cookie: entry.cookie,
+            priority: entry.priority,
+        }
+    }
 }
 
 /// Which classifier pipeline a table runs.
@@ -689,78 +701,90 @@ impl FlowTable {
         Some((idx, path))
     }
 
-    /// Look up the best entry for `key`, updating its counters by
-    /// `bytes`. Returns the matched actions plus provenance (stage,
-    /// cookie, priority), or `None` on table miss.
-    pub fn lookup(&mut self, key: &PacketKey, bytes: usize) -> Option<LookupHit> {
-        if self.mode == ClassifierMode::Linear {
+    /// The one resolve path behind [`FlowTable::lookup`],
+    /// [`FlowTable::lookup_ghost`] and the LSI pipeline: the winning
+    /// entry index for `key` and the stage that answered, or `None` on
+    /// table miss. Unless `ghost`, the stage counters, the matched
+    /// entry's packet/byte counters (by `bytes`) and the microflow cache
+    /// are updated; a ghost resolve takes the same decision with zero
+    /// observable side effects. (A ghost still needs `&mut`: a stale
+    /// index may be rebuilt, which is semantically invisible.)
+    pub(crate) fn resolve(
+        &mut self,
+        key: &PacketKey,
+        bytes: usize,
+        ghost: bool,
+    ) -> Option<(usize, LookupPath)> {
+        let (idx, path) = if self.mode == ClassifierMode::Linear {
             // Baseline scan: no cache, no index, and no fast-path
             // counter updates — the stats describe the indexed pipeline
             // only, so an A/B mode toggle cannot pollute them.
             let idx = self.entries.iter().position(|e| e.matches.matches(key))?;
+            (idx, LookupPath::Miss)
+        } else {
+            match self.cache.get(key) {
+                // Generation match ⇒ the table is untouched since this
+                // decision was cached, so idx is valid.
+                Some(&(gen, idx)) if gen == self.next_seq => {
+                    if !ghost {
+                        self.cache_hits += 1;
+                    }
+                    (idx, LookupPath::CacheHit)
+                }
+                _ => {
+                    if !ghost {
+                        self.cache_misses += 1;
+                    }
+                    let Some((idx, path)) = self.classify(key, ghost) else {
+                        if !ghost {
+                            self.misses += 1;
+                        }
+                        return None;
+                    };
+                    if !ghost {
+                        match path {
+                            LookupPath::ExactHit => self.exact_hits += 1,
+                            LookupPath::MegaflowHit => self.megaflow_hits += 1,
+                            _ => self.wildcard_hits += 1,
+                        }
+                        if self.cache.len() >= CACHE_CAP {
+                            self.cache.clear();
+                        }
+                        self.cache.insert(*key, (self.next_seq, idx));
+                    }
+                    (idx, path)
+                }
+            }
+        };
+        if !ghost {
             let entry = &mut self.entries[idx];
             entry.packet_count += 1;
             entry.byte_count += bytes as u64;
-            return Some(Self::hit(entry, LookupPath::Miss));
         }
-        if let Some(&(gen, idx)) = self.cache.get(key) {
-            if gen == self.next_seq {
-                // Generation match ⇒ the table is untouched since
-                // this decision was cached, so idx is valid.
-                let entry = &mut self.entries[idx];
-                self.cache_hits += 1;
-                entry.packet_count += 1;
-                entry.byte_count += bytes as u64;
-                return Some(Self::hit(entry, LookupPath::CacheHit));
-            }
-        }
-        self.cache_misses += 1;
-        let Some((idx, path)) = self.classify(key, false) else {
-            self.misses += 1;
-            return None;
-        };
-        match path {
-            LookupPath::ExactHit => self.exact_hits += 1,
-            LookupPath::MegaflowHit => self.megaflow_hits += 1,
-            _ => self.wildcard_hits += 1,
-        }
-        let entry = &mut self.entries[idx];
-        entry.packet_count += 1;
-        entry.byte_count += bytes as u64;
-        let result = Self::hit(entry, path);
-        if self.cache.len() >= CACHE_CAP {
-            self.cache.clear();
-        }
-        self.cache.insert(*key, (self.next_seq, idx));
-        Some(result)
+        Some((idx, path))
+    }
+
+    /// The entry at `idx` in match order (an index from
+    /// [`FlowTable::resolve`]).
+    pub(crate) fn entry(&self, idx: usize) -> &FlowEntry {
+        &self.entries[idx]
+    }
+
+    /// Look up the best entry for `key`, updating its counters by
+    /// `bytes`. Returns the matched actions plus provenance (stage,
+    /// cookie, priority), or `None` on table miss.
+    pub fn lookup(&mut self, key: &PacketKey, bytes: usize) -> Option<LookupHit> {
+        let (idx, path) = self.resolve(key, bytes, false)?;
+        Some(LookupHit::new(&self.entries[idx], path))
     }
 
     /// Ghost lookup: the same decision [`FlowTable::lookup`] would
     /// take, with *zero* observable side effects — no stats, no entry
     /// packet/byte counters, no microflow-cache insertion, no probe
-    /// effort accounting. (`&mut` only because a stale exact-match
-    /// index may need rebuilding, which is semantically invisible.)
+    /// effort accounting.
     pub fn lookup_ghost(&mut self, key: &PacketKey) -> Option<LookupHit> {
-        if self.mode == ClassifierMode::Linear {
-            let idx = self.entries.iter().position(|e| e.matches.matches(key))?;
-            return Some(Self::hit(&self.entries[idx], LookupPath::Miss));
-        }
-        if let Some(&(gen, idx)) = self.cache.get(key) {
-            if gen == self.next_seq {
-                return Some(Self::hit(&self.entries[idx], LookupPath::CacheHit));
-            }
-        }
-        let (idx, path) = self.classify(key, true)?;
-        Some(Self::hit(&self.entries[idx], path))
-    }
-
-    fn hit(entry: &FlowEntry, path: LookupPath) -> LookupHit {
-        LookupHit {
-            actions: entry.actions.clone(),
-            path,
-            cookie: entry.cookie,
-            priority: entry.priority,
-        }
+        let (idx, path) = self.resolve(key, 0, true)?;
+        Some(LookupHit::new(&self.entries[idx], path))
     }
 
     /// Find entries matching a predicate over (priority, match).

@@ -26,9 +26,9 @@ pub enum FaultOutcome {
 #[derive(Debug)]
 pub struct FaultInjector {
     rng: DetRng,
-    /// Probability a frame is dropped, in [0,1].
+    /// Probability a frame is dropped, in \[0, 1\].
     pub drop_chance: f64,
-    /// Probability a surviving frame has one byte corrupted, in [0,1].
+    /// Probability a surviving frame has one byte corrupted, in \[0, 1\].
     pub corrupt_chance: f64,
     /// Frames passed untouched.
     pub passed: u64,
